@@ -1,8 +1,8 @@
 package generic_test
 
 // Binary inference engine: the golden equivalence contract (binary == exact
-// on a sign-binarized model, bit-identically), the mode API's error surface,
-// and the deprecated wrappers' equivalence to their option-based forms.
+// on a sign-binarized model, bit-identically) and the mode API's error
+// surface.
 
 import (
 	"bytes"
@@ -164,42 +164,6 @@ func TestBinaryBatchDeterminism(t *testing.T) {
 	want := float64(correct) / float64(len(ref))
 	if acc := must(p.Accuracy(X, ds.TestY[:256], generic.WithWorkers(3))); acc != want {
 		t.Fatalf("binary Accuracy %v, batch count %v", acc, want)
-	}
-}
-
-// TestDeprecatedWrappersEquivalent pins the compatibility contract: each
-// deprecated entry point is a pure delegation to its option-based form.
-func TestDeprecatedWrappersEquivalent(t *testing.T) {
-	p, ds := trainedEEG(t)
-	X, Y := ds.TestX[:64], ds.TestY[:64]
-
-	//lint:ignore generic/depapi the deprecated wrappers are themselves under test here
-	oldBatch := must(p.PredictBatch(X, 2))
-	newBatch := must(p.PredictAll(X, generic.WithWorkers(2)))
-	for i := range oldBatch {
-		if oldBatch[i] != newBatch[i] {
-			t.Fatalf("PredictBatch differs from PredictAll at %d", i)
-		}
-	}
-
-	//lint:ignore generic/depapi deprecated wrapper under test
-	oldAcc := must(p.AccuracyWorkers(X, Y, 2))
-	if newAcc := must(p.Accuracy(X, Y, generic.WithWorkers(2))); oldAcc != newAcc {
-		t.Fatalf("AccuracyWorkers %v != Accuracy+WithWorkers %v", oldAcc, newAcc)
-	}
-
-	if err := p.Binarize(); err != nil {
-		t.Fatal(err)
-	}
-	// PredictReduced pins the historical exact representation even on a
-	// binarized pipeline.
-	for _, dims := range []int{1024, 512, 100, 1} {
-		//lint:ignore generic/depapi deprecated wrapper under test
-		old := must(p.PredictReduced(X[0], dims))
-		new_ := must(p.Predict(X[0], generic.WithDims(dims), generic.WithMode(generic.Exact)))
-		if old != new_ {
-			t.Fatalf("dims=%d: PredictReduced %d != Predict+WithDims+Exact %d", dims, old, new_)
-		}
 	}
 }
 

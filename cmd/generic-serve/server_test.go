@@ -114,7 +114,7 @@ func TestEndpointsRoundTrip(t *testing.T) {
 		t.Errorf("single predict = %v, want %d", single.Label, want)
 	}
 
-	// Batch predict matches the deprecated PredictBatch form bit for bit.
+	// Batch predict matches per-sample Predict bit for bit.
 	resp, body = postJSON(t, ts.URL+"/predict", map[string]any{"xs": X})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch predict: %d %s", resp.StatusCode, body)
@@ -123,9 +123,12 @@ func TestEndpointsRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(body, &batch); err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.PredictBatch(X, 1)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]int, len(X))
+	for i, x := range X {
+		var err error
+		if want[i], err = p.Predict(x); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(batch.Labels) != len(want) {
 		t.Fatalf("batch returned %d labels, want %d", len(batch.Labels), len(want))
@@ -434,6 +437,63 @@ func TestConcurrentPredict(t *testing.T) {
 				}
 				if pr.Label == nil || *pr.Label != want[idx] {
 					errs <- fmt.Errorf("sample %d: got %v, want %d", idx, pr.Label, want[idx])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestConcurrentSmallBatchPredict hammers POST /predict with concurrent
+// "xs" bodies of 1–3 samples on an Exact pipeline served at -workers 0: the
+// small batches every worker count must stream through private encoder
+// state. Each label must equal serial Predict (run under -race in CI).
+func TestConcurrentSmallBatchPredict(t *testing.T) {
+	p, X, _ := testPipeline(t)
+	s, _ := testServer(t, p, serverConfig{workers: 0})
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+
+	want := make([]int, len(X))
+	for i, x := range X {
+		var err error
+		if want[i], err = p.Predict(x, generic.WithMode(generic.Exact)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines = 8
+	const perG = 24
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines*perG)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				n := 1 + i%3
+				lo := (g*perG + i*3) % (len(X) - n + 1)
+				resp, body := postJSON(t, ts.URL+"/predict", map[string]any{"xs": X[lo : lo+n]})
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("predict status %d: %s", resp.StatusCode, body)
+					continue
+				}
+				var pr predictResponse
+				if err := json.Unmarshal(body, &pr); err != nil {
+					errs <- err
+					continue
+				}
+				if len(pr.Labels) != n {
+					errs <- fmt.Errorf("batch of %d returned %d labels", n, len(pr.Labels))
+					continue
+				}
+				for j, label := range pr.Labels {
+					if label != want[lo+j] {
+						errs <- fmt.Errorf("sample %d: got %d, want %d", lo+j, label, want[lo+j])
+					}
 				}
 			}
 		}(g)

@@ -132,11 +132,7 @@ func main() {
 		// Post-training quantization (vs training-time TrainOptions.BW) so
 		// the full-precision accuracy above and the narrowed accuracy here
 		// come from the same trained counters.
-		//lint:ignore generic/depapi -bw reports the paper's post-training quantization sweep on one model
-		if err := p.Quantize(*bw); err != nil {
-			fmt.Fprintln(os.Stderr, "generic-train:", err)
-			os.Exit(1)
-		}
+		p.Model().Quantize(*bw)
 		fmt.Printf("test accuracy @ %d-bit model: %.2f%%\n", *bw, 100*must(p.Accuracy(ds.TestX, ds.TestY, generic.WithWorkers(*workers))))
 	}
 	if *dims > 0 {

@@ -104,16 +104,6 @@ func EncodeWorkers(e Encoder, X [][]float64, workers int) []Hypervector {
 	return encoding.EncodeAllWorkers(e, X, workers)
 }
 
-// EncoderPool encodes batches concurrently (one encoder per worker, same
-// hypervector material, bit-identical outputs).
-type EncoderPool = encoding.Pool
-
-// NewEncoderPool builds a concurrent encoding pool; workers ≤ 0 means
-// GOMAXPROCS.
-func NewEncoderPool(kind EncodingKind, cfg EncoderConfig, workers int) (*EncoderPool, error) {
-	return encoding.NewPool(kind, cfg, workers)
-}
-
 // Model is a trained HDC classification model.
 type Model = classifier.Model
 
@@ -177,7 +167,7 @@ func (m Mode) String() string {
 }
 
 // Option configures one call to a Pipeline inference entry point (Predict,
-// PredictAll, Accuracy, and their deprecated fixed-signature forms).
+// PredictMargin, PredictAll, PredictAllInto and Accuracy).
 // Option is an opaque value (not a closure) so building and applying
 // options never allocates — the single-sample binary Predict path runs at
 // zero allocations per call, and the alloc-budget gate depends on that.
@@ -264,18 +254,18 @@ func (p *Pipeline) resolveMode(op string, o callOpts) (Mode, error) {
 // downstream application uses.
 //
 // Concurrency: a trained pipeline is safe for concurrent Predict and the
-// batch scoring methods, in either inference mode — each goroutine draws a
-// private encoder clone plus scratch hypervectors from an internal pool
-// (encoders carry scratch state, so sharing one across goroutines would
-// corrupt encodings). Methods that mutate state — Fit, Adapt, Quantize,
-// Binarize — require exclusive access.
+// batch scoring methods, in either inference mode — each goroutine (and each
+// batch worker) draws a private encoder clone plus scratch hypervectors from
+// an internal pool (encoders carry scratch state, so sharing one across
+// goroutines would corrupt encodings). Methods that mutate state — Fit,
+// Adapt, Binarize, InjectFaults, Scrub — require exclusive access.
 type Pipeline struct {
 	enc     Encoder
 	model   *Model
 	classes int
 	// bmodel is the packed binary inference representation, built by
 	// Binarize and kept in sync by the mutating entry points (Adapt
-	// rebinarizes the touched classes; Quantize, Scrub, and class-site fault
+	// rebinarizes the touched classes; Scrub and class-site fault
 	// injection rebinarize wholesale; Fit drops it — retraining is an
 	// explicit transition back to Exact). mode is the pipeline's default
 	// inference mode, overridable per call with WithMode.
@@ -685,10 +675,9 @@ func (p *Pipeline) PredictAll(X [][]float64, opts ...Option) ([]int, error) {
 }
 
 // PredictAllInto is PredictAll writing predictions into a caller-provided
-// slice of len(X) — the steady-state zero-allocation batch path: in Binary
+// slice of len(X) — the steady-state zero-allocation batch path: in either
 // mode each worker streams its contiguous chunk through pooled scratch
-// (packed query in, label out) and no per-sample hypervector is ever
-// materialized.
+// (query in, label out) and no batch of hypervectors is ever materialized.
 func (p *Pipeline) PredictAllInto(dst []int, X [][]float64, opts ...Option) error {
 	if err := p.trained("PredictAllInto"); err != nil {
 		return err
@@ -710,7 +699,11 @@ func (p *Pipeline) PredictAllInto(dst []int, X [][]float64, opts ...Option) erro
 	return nil
 }
 
-// predictAllInto is the validated core of the batch predictors.
+// predictAllInto is the validated core of the batch predictors, one loop for
+// both modes: each worker takes a contiguous chunk and a pooled state and
+// streams every sample through encode and score into dst, so no batch of
+// encoded hypervectors is ever materialized and no worker touches another's
+// encoder.
 func (p *Pipeline) predictAllInto(dst []int, X [][]float64, mode Mode, o callOpts) {
 	dims := o.dims
 	if dims <= 0 {
@@ -718,56 +711,37 @@ func (p *Pipeline) predictAllInto(dst []int, X [][]float64, mode Mode, o callOpt
 	}
 	sp := perf.Begin("pipeline.predict_all")
 	defer sp.End()
-	if mode == Binary {
-		w := parallel.Workers(o.workers)
-		if w > len(X) {
-			w = len(X)
-		}
-		if w <= 1 {
-			// Serial fast path without the chunk closure: with a warm state
-			// pool the steady-state batch allocates nothing.
-			st := p.states.Get().(*pipeState)
-			for i, x := range X {
-				st.encodeBin(x)
-				dst[i], _ = p.bmodel.PredictDims(st.bin, dims)
-				p.maybeShadow(st, x, dims, dst[i])
-			}
-			p.states.Put(st)
-			return
-		}
-		parallel.ForChunks(w, len(X), func(_, lo, hi int) {
-			st := p.states.Get().(*pipeState)
-			for i := lo; i < hi; i++ {
-				st.encodeBin(X[i])
-				dst[i], _ = p.bmodel.PredictDims(st.bin, dims)
-				p.maybeShadow(st, X[i], dims, dst[i])
-			}
-			p.states.Put(st)
-		})
+	w := parallel.Workers(o.workers)
+	if w > len(X) {
+		w = len(X)
+	}
+	if w <= 1 {
+		// Serial fast path without the chunk closure: with a warm state
+		// pool the steady-state batch allocates nothing.
+		p.predictChunk(dst, X, mode, dims)
 		return
 	}
-	encoded := encoding.EncodeAllWorkers(p.enc, X, o.workers)
-	copy(dst, p.model.PredictDimsBatch(encoded, dims, true, o.workers))
+	parallel.ForChunks(w, len(X), func(_, lo, hi int) {
+		p.predictChunk(dst[lo:hi], X[lo:hi], mode, dims)
+	})
 }
 
-// PredictBatch classifies a batch of inputs across workers workers (≤ 0
-// means GOMAXPROCS, 1 is serial), returning predictions in input order.
-//
-// Deprecated: use PredictAll with WithWorkers. generic-lint's depapi check
-// flags in-repo callers of this form.
-func (p *Pipeline) PredictBatch(X [][]float64, workers int) ([]int, error) {
-	return p.PredictAll(X, WithWorkers(workers))
-}
-
-// PredictReduced classifies using only the first dims dimensions with the
-// updated sub-norms — the accelerator's on-demand dimension reduction.
-// Safe for concurrent use on a trained pipeline.
-//
-// Deprecated: use Predict with WithDims (add WithMode(Exact) to pin the
-// historical representation on a binarized pipeline). generic-lint's depapi
-// check flags in-repo callers of this form.
-func (p *Pipeline) PredictReduced(x []float64, dims int) (int, error) {
-	return p.Predict(x, WithDims(dims), WithMode(Exact))
+// predictChunk encodes each sample of X into a pooled state's scratch and
+// scores it at once, writing the labels into dst. Only the per-sample encode
+// and score calls differ by mode.
+func (p *Pipeline) predictChunk(dst []int, X [][]float64, mode Mode, dims int) {
+	st := p.states.Get().(*pipeState)
+	for i, x := range X {
+		if mode == Binary {
+			st.encodeBin(x)
+			dst[i], _ = p.bmodel.PredictDims(st.bin, dims)
+			p.maybeShadow(st, x, dims, dst[i])
+		} else {
+			st.enc.Encode(x, st.scratch)
+			dst[i], _ = p.model.PredictDims(st.scratch, dims, true)
+		}
+	}
+	p.states.Put(st)
 }
 
 // Adapt performs one online-learning step: classify x and, when the
@@ -803,16 +777,10 @@ func (p *Pipeline) Adapt(x []float64, label int) (pred int, updated bool, err er
 	return pred, updated, nil
 }
 
-// accuracyBlock bounds how many samples Accuracy encodes at once, so
-// scoring a large set streams through a constant memory footprint instead
-// of materializing every hypervector.
-const accuracyBlock = 2048
-
 // Accuracy scores the pipeline on a labelled set. Encoding and scoring fan
 // out across WithWorkers(n) workers (default serial), with WithMode and
-// WithDims selecting the representation and scored dimensions; samples
-// stream through in bounded blocks, and the result is bit-identical for
-// every worker count. X and Y must be the same length.
+// WithDims selecting the representation and scored dimensions; the result is
+// bit-identical for every worker count. X and Y must be the same length.
 func (p *Pipeline) Accuracy(X [][]float64, Y []int, opts ...Option) (float64, error) {
 	if err := p.trained("Accuracy"); err != nil {
 		return 0, err
@@ -833,50 +801,15 @@ func (p *Pipeline) Accuracy(X [][]float64, Y []int, opts ...Option) (float64, er
 	if err != nil {
 		return 0, err
 	}
-	preds := make([]int, accuracyBlock)
+	preds := make([]int, len(X))
+	p.predictAllInto(preds, X, mode, o)
 	correct := 0
-	for lo := 0; lo < len(X); lo += accuracyBlock {
-		hi := lo + accuracyBlock
-		if hi > len(X) {
-			hi = len(X)
-		}
-		blk := preds[:hi-lo]
-		p.predictAllInto(blk, X[lo:hi], mode, o)
-		for i, pred := range blk {
-			if pred == Y[lo+i] {
-				correct++
-			}
+	for i, pred := range preds {
+		if pred == Y[i] {
+			correct++
 		}
 	}
 	return float64(correct) / float64(len(X)), nil
-}
-
-// AccuracyWorkers scores the pipeline on a labelled set with encoding and
-// scoring fanned across workers workers (≤ 0 means GOMAXPROCS).
-//
-// Deprecated: use Accuracy with WithWorkers. generic-lint's depapi check
-// flags in-repo callers of this form.
-func (p *Pipeline) AccuracyWorkers(X [][]float64, Y []int, workers int) (float64, error) {
-	return p.Accuracy(X, Y, WithWorkers(workers))
-}
-
-// Quantize reduces the model's class bit-width (the accelerator's bw input).
-//
-// Deprecated: for training-time widths set TrainOptions.BW; for binary
-// inference make the explicit mode transition with Binarize, which keeps the
-// integer counters for continued adaptation instead of destructively
-// collapsing them. generic-lint's depapi check flags in-repo callers of this
-// form.
-func (p *Pipeline) Quantize(bw int) error {
-	if err := p.trained("Quantize"); err != nil {
-		return err
-	}
-	p.model.Quantize(bw)
-	if p.bmodel != nil {
-		p.bmodel = classifier.Binarize(p.model)
-	}
-	p.invalidateGuard()
-	return nil
 }
 
 // Binarize derives the packed binary inference representation from the

@@ -65,16 +65,14 @@ func TestPipelineReducedAndQuantized(t *testing.T) {
 	p, X, Y := trainXor(t)
 	correct := 0
 	for i, x := range X {
-		if must(p.PredictReduced(x, 256)) == Y[i] {
+		if must(p.Predict(x, generic.WithDims(256))) == Y[i] {
 			correct++
 		}
 	}
 	if frac := float64(correct) / float64(len(X)); frac < 0.95 {
 		t.Errorf("reduced-dimension accuracy = %.3f", frac)
 	}
-	if err := p.Quantize(4); err != nil {
-		t.Fatal(err)
-	}
+	p.Model().Quantize(4)
 	if acc := must(p.Accuracy(X, Y)); acc < 0.95 {
 		t.Errorf("4-bit accuracy = %.3f", acc)
 	}
@@ -88,11 +86,11 @@ func TestPipelineErrorsBeforeFit(t *testing.T) {
 	if _, err := p.Predict([]float64{0, 0, 0, 0}); !errors.Is(err, generic.ErrNotTrained) {
 		t.Errorf("Predict before Fit: err = %v, want ErrNotTrained", err)
 	}
-	if _, err := p.PredictBatch([][]float64{{0, 0, 0, 0}}, 0); !errors.Is(err, generic.ErrNotTrained) {
-		t.Errorf("PredictBatch before Fit: err = %v, want ErrNotTrained", err)
+	if _, err := p.PredictAll([][]float64{{0, 0, 0, 0}}, generic.WithWorkers(0)); !errors.Is(err, generic.ErrNotTrained) {
+		t.Errorf("PredictAll before Fit: err = %v, want ErrNotTrained", err)
 	}
-	if _, err := p.PredictReduced([]float64{0, 0, 0, 0}, 128); !errors.Is(err, generic.ErrNotTrained) {
-		t.Errorf("PredictReduced before Fit: err = %v, want ErrNotTrained", err)
+	if _, err := p.Predict([]float64{0, 0, 0, 0}, generic.WithDims(128)); !errors.Is(err, generic.ErrNotTrained) {
+		t.Errorf("Predict+WithDims before Fit: err = %v, want ErrNotTrained", err)
 	}
 	if _, _, err := p.Adapt([]float64{0, 0, 0, 0}, 0); !errors.Is(err, generic.ErrNotTrained) {
 		t.Errorf("Adapt before Fit: err = %v, want ErrNotTrained", err)
@@ -100,8 +98,8 @@ func TestPipelineErrorsBeforeFit(t *testing.T) {
 	if _, err := p.Accuracy([][]float64{{0, 0, 0, 0}}, []int{0}); !errors.Is(err, generic.ErrNotTrained) {
 		t.Errorf("Accuracy before Fit: err = %v, want ErrNotTrained", err)
 	}
-	if err := p.Quantize(4); !errors.Is(err, generic.ErrNotTrained) {
-		t.Errorf("Quantize before Fit: err = %v, want ErrNotTrained", err)
+	if err := p.Binarize(); !errors.Is(err, generic.ErrNotTrained) {
+		t.Errorf("Binarize before Fit: err = %v, want ErrNotTrained", err)
 	}
 	if _, err := p.InjectFaults(generic.FaultSpec{Site: generic.FaultSiteClass, Kind: generic.FaultUniform, Rate: 0.01}); !errors.Is(err, generic.ErrNotTrained) {
 		t.Errorf("InjectFaults before Fit: err = %v, want ErrNotTrained", err)

@@ -102,7 +102,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{name: "encshare", dir: "encshare", path: "example.com/m/internal/encoding", analyzers: []*Analyzer{EncShare}},
 		{name: "mergeorder", dir: "mergeorder", path: "example.com/m/internal/cluster", analyzers: []*Analyzer{MergeOrder}},
 		{name: "dimguard", dir: "dimguard", path: "example.com/m/internal/hdc", analyzers: []*Analyzer{DimGuard}},
-		{name: "depapi facade", dir: "depapi", path: "example.com/m/serveapp", analyzers: []*Analyzer{DepAPI}},
 		{name: "dimguard out of scope", dir: "dimguard", path: "example.com/m/internal/tinyhd", analyzers: []*Analyzer{DimGuard}},
 		{name: "directives", dir: "directive", path: "example.com/m/internal/directive", analyzers: nil,
 			extraWant: []string{"directive.go:7 directive", "directive.go:10 directive"}},

@@ -1,6 +1,7 @@
 package budget
 
 import (
+	generic "github.com/edge-hdc/generic"
 	"github.com/edge-hdc/generic/internal/classifier"
 	"github.com/edge-hdc/generic/internal/encoding"
 	"github.com/edge-hdc/generic/internal/hdc"
@@ -15,6 +16,11 @@ import (
 type Op struct {
 	Name string
 	Run  func()
+	// Pooled marks an op that draws its working state from a sync.Pool.
+	// The race detector makes sync.Pool drop a random quarter of Puts, so
+	// under -race such an op is measured at its warm-pool steady state
+	// instead of on average (see steadyAllocs).
+	Pooled bool
 }
 
 // opDims keeps the measurement fixtures small but structurally real: D is a
@@ -74,29 +80,47 @@ func Ops() []Op {
 
 	ops = append(ops,
 		Op{Name: "model/predict_dims", Run: func() { model.PredictDims(query, opD, true) }},
-		Op{Name: "model/predict_batch_w1", Run: func() { model.PredictBatch(batch, 1) }},
 		Op{Name: "model/update", Run: func() { updModel.Update(query, 0, 1) }},
 		Op{Name: "model/adapt_hit", Run: func() { model.Adapt(query, stableLabel) }},
 	)
 
-	// The binary inference engine: binarized encode (fused kernel), packed
-	// Hamming scoring, and the zero-alloc batch path.
+	// The binary inference engine: binarized encode (fused kernel) and
+	// packed Hamming scoring.
 	bmodel := classifier.Binarize(model)
-	bbatch := make([]*hdc.BinVec, len(batch))
-	for i, h := range batch {
-		bv := hdc.NewBinVec(opD)
-		bv.PackSigns(h)
-		bbatch[i] = bv
-	}
-	bquery := bbatch[0]
+	bquery := hdc.NewBinVec(opD)
+	bquery.PackSigns(query)
 	bout := hdc.NewBinVec(opD)
 	benc, _ := encoding.AsBinary(enc)
 	bx := features(0)
-	bdst := make([]int, len(bbatch))
 	ops = append(ops,
 		Op{Name: "encode/generic_bin", Run: func() { benc.EncodeBin(bx, bout) }},
 		Op{Name: "model/binary_predict", Run: func() { bmodel.Predict(bquery) }},
-		Op{Name: "model/binary_predict_batch_w1", Run: func() { bmodel.PredictBatchInto(bdst, bbatch, 1) }},
+	)
+
+	// The facade's serial batch predict in both modes: each sample streams
+	// through a pooled state's encode and score, so a warm pool allocates
+	// nothing per batch.
+	X := make([][]float64, len(batch))
+	Y := make([]int, len(batch))
+	for i := range X {
+		X[i], Y[i] = features(i), i%opClasses
+	}
+	pipe := generic.NewPipeline(encoding.MustNew(encoding.Generic, cfg), opClasses)
+	if _, err := pipe.Fit(X, Y, generic.TrainOptions{Epochs: 1, Seed: 1, Workers: 1}); err != nil {
+		panic(err)
+	}
+	bpipe := pipe.Clone()
+	if err := bpipe.Binarize(); err != nil {
+		panic(err)
+	}
+	dst := make([]int, len(X))
+	ops = append(ops,
+		Op{Name: "pipeline/predict_all_into_exact_w1", Pooled: true, Run: func() {
+			pipe.PredictAllInto(dst, X, generic.WithWorkers(1), generic.WithMode(generic.Exact))
+		}},
+		Op{Name: "pipeline/predict_all_into_binary_w1", Pooled: true, Run: func() {
+			bpipe.PredictAllInto(dst, X, generic.WithWorkers(1), generic.WithMode(generic.Binary))
+		}},
 	)
 
 	// The hdc kernels under the classifier: bundling update and scoring dot.

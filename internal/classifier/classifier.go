@@ -14,7 +14,6 @@ import (
 
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/parallel"
-	"github.com/edge-hdc/generic/internal/perf"
 	"github.com/edge-hdc/generic/internal/quality"
 	"github.com/edge-hdc/generic/internal/rng"
 	"github.com/edge-hdc/generic/internal/telemetry"
@@ -437,26 +436,6 @@ func TrainEncodedResult(encoded []hdc.Vec, labels []int, nC int, opt Options) (*
 		panic(err)
 	}
 	return m, res
-}
-
-// PredictBatch classifies every encoded query across workers workers
-// (<= 0 means GOMAXPROCS, 1 is serial) and returns the predictions in input
-// order. Scoring only reads the model, so any worker count yields identical
-// results; the model must not be mutated concurrently.
-func (m *Model) PredictBatch(encoded []hdc.Vec, workers int) []int {
-	return m.PredictDimsBatch(encoded, m.d, true, workers)
-}
-
-// PredictDimsBatch is PredictBatch under dimension reduction (see
-// PredictDims).
-func (m *Model) PredictDimsBatch(encoded []hdc.Vec, dims int, updatedNorms bool, workers int) []int {
-	sp := perf.Begin("score.batch")
-	defer sp.End()
-	out := make([]int, len(encoded))
-	parallel.For(workers, len(encoded), func(_, i int) {
-		out[i], _ = m.PredictDims(encoded[i], dims, updatedNorms)
-	})
-	return out
 }
 
 // Accuracy returns the fraction of encoded queries whose prediction matches

@@ -66,22 +66,21 @@ func TestTrainEncodedParallelBitIdentical(t *testing.T) {
 	}
 }
 
-func TestEvaluateAndPredictBatchMatchSerial(t *testing.T) {
+func TestEvaluateBatchMatchesSerial(t *testing.T) {
 	encoded, labels := synthEncoded(t, 300, 512, 5, 12)
 	m, _ := TrainEncoded(encoded, labels, 5, Options{Epochs: 3, Seed: 1, Workers: 1})
 	queries, qLabels := synthEncoded(t, 157, 512, 5, 13)
 
-	wantAcc := Accuracy(m, queries, qLabels, 1)
-	wantPreds := m.PredictBatch(queries, 1)
-	for _, workers := range []int{2, 4, 7} {
-		if acc := Accuracy(m, queries, qLabels, workers); acc != wantAcc {
-			t.Fatalf("workers=%d: Accuracy %v, serial %v", workers, acc, wantAcc)
+	correct := 0
+	for i, q := range queries {
+		if pred, _ := m.Predict(q); pred == qLabels[i] {
+			correct++
 		}
-		preds := m.PredictBatch(queries, workers)
-		for i := range preds {
-			if preds[i] != wantPreds[i] {
-				t.Fatalf("workers=%d: prediction %d differs: %d vs %d", workers, i, preds[i], wantPreds[i])
-			}
+	}
+	wantAcc := float64(correct) / float64(len(queries))
+	for _, workers := range []int{1, 2, 4, 7} {
+		if acc := Accuracy(m, queries, qLabels, workers); acc != wantAcc {
+			t.Fatalf("workers=%d: Accuracy %v, per-query count %v", workers, acc, wantAcc)
 		}
 		for _, dims := range []int{128, 256} {
 			if got, want := EvaluateDimsBatch(m, queries, qLabels, dims, true, workers),

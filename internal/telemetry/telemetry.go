@@ -327,7 +327,7 @@ var (
 	EncodeBatchSamples = Default.Counter("encode_batch_samples_total")
 
 	// Classification: per-query scoring latency (Model.PredictDims, which
-	// Predict/PredictBatch and the retraining loop all call), training
+	// Predict, PredictAll and the retraining loop all call), training
 	// passes, and online adaptation.
 	PredictNS  = Default.Histogram("predict_ns")
 	FitNS      = Default.Histogram("fit_ns")

@@ -1,6 +1,7 @@
 package generic_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -43,7 +44,7 @@ func fitWorkers(t *testing.T, workers int) (*generic.Pipeline, [][]float64, []in
 // The public determinism guarantee: Fit with any worker count yields a
 // model bit-identical to the serial one.
 func TestFitParallelBitIdentical(t *testing.T) {
-	serial, X, Y := fitWorkers(t, 1)
+	serial, _, _ := fitWorkers(t, 1)
 	for _, workers := range []int{2, 4} {
 		par, _, _ := fitWorkers(t, workers)
 		sm, pm := serial.Model(), par.Model()
@@ -55,49 +56,100 @@ func TestFitParallelBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		if sa, pa := must(serial.AccuracyWorkers(X, Y, 1)), must(par.AccuracyWorkers(X, Y, workers)); sa != pa {
-			t.Fatalf("workers=%d: accuracy %v vs serial %v", workers, pa, sa)
-		}
-		want := must(serial.PredictBatch(X, 1))
-		got := must(par.PredictBatch(X, workers))
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: PredictBatch sample %d differs", workers, i)
+	}
+}
+
+// TestPredictConcurrentSafe is the race hammer of the batch-predict
+// contract. For each inference mode, scored width, worker count and batch
+// size (1 through 2·workers+1, and 256), 8 goroutines share one pipeline and
+// run Predict, PredictAll, PredictAllInto and Accuracy on their own slices of
+// the test set; every label must equal the serial per-sample Predict oracle.
+// Run under -race for the safety half: no two goroutines may ever share an
+// encoder.
+func TestPredictConcurrentSafe(t *testing.T) {
+	p, ds := trainedEEG(t)
+	if err := p.Binarize(); err != nil {
+		t.Fatal(err)
+	}
+	X, Y := ds.TestX[:256], ds.TestY[:256]
+	const goroutines = 8
+	for _, mode := range []generic.Mode{generic.Exact, generic.Binary} {
+		for _, dims := range []int{0, 256} {
+			want := make([]int, len(X))
+			for i, x := range X {
+				want[i] = must(p.Predict(x, generic.WithMode(mode), generic.WithDims(dims)))
 			}
+			for _, workers := range []int{1, 2, 4} {
+				opts := []generic.Option{generic.WithMode(mode), generic.WithDims(dims), generic.WithWorkers(workers)}
+				sizes := []int{len(X)}
+				for n := 1; n <= 2*workers+1; n++ {
+					sizes = append(sizes, n)
+				}
+				for _, n := range sizes {
+					errs := make(chan error, goroutines)
+					var wg sync.WaitGroup
+					for g := 0; g < goroutines; g++ {
+						lo := (g * n) % (len(X) - n + 1)
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							errs <- hammerBatch(p, X[lo:lo+n], Y[lo:lo+n], want[lo:lo+n], opts)
+						}()
+					}
+					wg.Wait()
+					close(errs)
+					for err := range errs {
+						if err != nil {
+							t.Fatalf("%v dims=%d workers=%d batch=%d: %v", mode, dims, workers, n, err)
+						}
+					}
+				}
+			}
+		}
+	}
+	// Without options a batch runs serially in the pipeline's current mode
+	// (Binary after Binarize) over every dimension.
+	def := must(p.PredictAll(X))
+	for i, x := range X {
+		if want := must(p.Predict(x, generic.WithMode(generic.Binary))); def[i] != want {
+			t.Fatalf("default PredictAll[%d] = %d, binary Predict %d", i, def[i], want)
 		}
 	}
 }
 
-// Concurrent Predict/PredictReduced on one Pipeline must be safe (the
-// encoder/scratch pool) and agree with the serial answers. Run under
-// -race to verify the safety half.
-func TestPredictConcurrentSafe(t *testing.T) {
-	p, X, Y := fitWorkers(t, 1)
-	want := make([]int, len(X))
-	wantRed := make([]int, len(X))
+// hammerBatch runs every inference entry point on one batch and checks each
+// against the serial oracle want.
+func hammerBatch(p *generic.Pipeline, X [][]float64, Y, want []int, opts []generic.Option) error {
+	all, err := p.PredictAll(X, opts...)
+	if err != nil {
+		return err
+	}
+	into := make([]int, len(X))
+	if err := p.PredictAllInto(into, X, opts...); err != nil {
+		return err
+	}
+	correct := 0
 	for i, x := range X {
-		want[i] = must(p.Predict(x))
-		wantRed[i] = must(p.PredictReduced(x, 256))
+		one, err := p.Predict(x, opts...)
+		if err != nil {
+			return err
+		}
+		if all[i] != want[i] || into[i] != want[i] || one != want[i] {
+			return fmt.Errorf("sample %d: PredictAll %d, PredictAllInto %d, Predict %d, serial oracle %d",
+				i, all[i], into[i], one, want[i])
+		}
+		if want[i] == Y[i] {
+			correct++
+		}
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < len(X); i += 8 {
-				if got := must(p.Predict(X[i])); got != want[i] {
-					t.Errorf("concurrent Predict(%d) = %d, want %d", i, got, want[i])
-					return
-				}
-				if got := must(p.PredictReduced(X[i], 256)); got != wantRed[i] {
-					t.Errorf("concurrent PredictReduced(%d) = %d, want %d", i, got, wantRed[i])
-					return
-				}
-			}
-		}(g)
+	acc, err := p.Accuracy(X, Y, opts...)
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	_ = Y
+	if wantAcc := float64(correct) / float64(len(X)); acc != wantAcc {
+		return fmt.Errorf("Accuracy %v, oracle %v", acc, wantAcc)
+	}
+	return nil
 }
 
 func TestEncodeWorkersMatchesSerial(t *testing.T) {
