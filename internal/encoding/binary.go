@@ -1,10 +1,11 @@
 // Binarized query path: every library encoder can emit the sign-binarized
 // hypervector sign(H(x)) directly into a packed hdc.BinVec, without
 // materializing the intermediate integer vector. This is the encode side of
-// the binary inference engine — for the level-based encoders the majority
-// vote is taken word-parallel on bit-sliced counters, and for the windowed
-// (GENERIC/ngram) encoder the whole window-bundle-threshold chain is fused
-// into one kernel, which is where the batch-path speedup comes from.
+// the binary inference engine. The level-based encoders take the majority
+// word-parallel on their accumulator's bit-sliced counters. The windowed
+// (GENERIC/ngram) encoder shares its gather and carry-save counting passes
+// with the exact Encode and differs only in the ending: a threshold compare
+// on the counter planes instead of their transpose into integers.
 //
 // Contract: for any encoder e and input x, EncodeBin(x) produces exactly
 // PackSigns(Encode(x)) — the equivalence tests lock this bit-identically.
@@ -105,36 +106,6 @@ func (e *permuteEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
 	telemetry.EncodeNS.ObserveSince(start)
 }
 
-// binScratch is the windowed encoder's fused-kernel working set, sized once
-// at construction (window count and plane depth are functions of the
-// configuration alone, so Regenerate never needs to touch it).
-type binScratch struct {
-	rows [][]uint64 // per-offset level word rows of the current window (generic-n gather)
-	// win is the transposed fused-window buffer: win[w*windows+i] holds word
-	// w of bound window i, so the counting pass reads each word's window
-	// stream contiguously.
-	win []uint64
-	// hi holds the bit-sliced counter planes for count bits 3 and up; bits
-	// 0-2 live in registers inside the counting pass and are never stored.
-	hi [][]uint64
-}
-
-func newBinScratch(cfg Config) *binScratch {
-	windows := cfg.Features - cfg.N + 1
-	nw := cfg.D / hdc.WordBits
-	s := &binScratch{
-		rows: make([][]uint64, cfg.N),
-		win:  make([]uint64, windows*nw),
-	}
-	if planes := bits.Len(uint(windows)) - 3; planes > 0 {
-		s.hi = make([][]uint64, planes)
-		for k := range s.hi {
-			s.hi[k] = make([]uint64, nw)
-		}
-	}
-	return s
-}
-
 // csa is a carry-save full adder over 64 lanes: sum = a ^ b ^ c,
 // carry = majority(a, b, c). Small enough to inline into the hot loop.
 func csa(a, b, c uint64) (sum, carry uint64) {
@@ -142,25 +113,14 @@ func csa(a, b, c uint64) (sum, carry uint64) {
 	return u ^ c, (a & b) | (u & c)
 }
 
-// EncodeBin for the windowed (GENERIC/ngram) encoder fuses the whole
-// pipeline — window XOR, counter bundling, and majority threshold — into two
-// tight passes, and the integer hypervector never exists.
-//
-// Pass 1 XOR-combines each window's rotated level rows (and id) into a
-// transposed buffer, so pass 2 sees each 64-lane word's window stream
-// contiguously. Pass 2 counts votes per lane with a Harley-Seal carry-save
-// tree: seven full adders compress eight windows into running weight-1/2/4
-// registers plus one weight-8 word, and only that weight-8 word ripples into
-// the bit-sliced counter planes — one memory-plane visit per eight windows
-// instead of the naive one-ripple-per-window, which is what an accumulator
-// of per-lane counts (the exact path's Acc) has to do. The final majority
-// threshold count >= ceil(W/2) is a word-parallel borrow subtraction
-// emitting packed sign bits directly.
+// gather is pass 1 of the windowed kernel shared by Encode and EncodeBin:
+// it quantizes x and XOR-binds each window's rotated level rows (and id)
+// into the transposed buffer e.win. It returns the window count W. The
+// common window widths keep every row header in a register; other widths
+// go through the rows scratch.
 //
 //generic:hotpath
-func (e *windowedEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
-	start := telemetry.Now()
-	checkEncodeBinArgs(e.cfg.Features, e.cfg.D, x, out)
+func (e *windowedEncoder) gather(x []float64) int {
 	n := e.cfg.N
 	bins := e.bins
 	for m, v := range x {
@@ -168,10 +128,7 @@ func (e *windowedEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
 	}
 	nw := e.cfg.D / hdc.WordBits
 	windows := len(x) - n + 1
-	win := e.bin.win
-
-	// Pass 1: gather and bind. The common window widths keep every row
-	// header in a register; other widths go through the rows scratch.
+	win := e.win
 	for i := 0; i < windows; i++ {
 		var id []uint64
 		if e.useID {
@@ -204,7 +161,7 @@ func (e *windowedEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
 				}
 			}
 		default:
-			rows := e.bin.rows
+			rows := e.rows
 			for j := 0; j < n; j++ {
 				rows[j] = e.rotLevels[j][bins[i+j]].Words()
 			}
@@ -221,73 +178,72 @@ func (e *windowedEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
 			}
 		}
 	}
+	return windows
+}
 
-	hi := e.bin.hi
+// countPlanes is pass 2 of the windowed kernel for one 64-lane word: it
+// counts, per lane, how many words of row have that bit set, and returns
+// the counts bit-sliced in pl[:bits.Len(len(row))] (plane k holds bit k of
+// every lane's count; pl has room for the bit length of any int count).
+//
+// The count is a Harley-Seal carry-save tree: seven full adders compress
+// eight windows into running weight-1/2/4 registers plus one weight-8 word,
+// and only that weight-8 word ripples into the higher planes — one plane
+// visit per eight windows instead of one ripple per window.
+//
+//generic:hotpath
+func countPlanes(row []uint64, pl *[hdc.WordBits]uint64) []uint64 {
+	nk := bits.Len(uint(len(row)))
+	hi := pl[3:max(nk, 3)]
 	for k := range hi {
-		p := hi[k]
-		for w := range p {
-			p[w] = 0
+		hi[k] = 0
+	}
+	var ones, twos, fours uint64
+	i := 0
+	for ; i+8 <= len(row); i += 8 {
+		var twosA, twosB, foursA, foursB, eights uint64
+		ones, twosA = csa(row[i], row[i+1], ones)
+		ones, twosB = csa(row[i+2], row[i+3], ones)
+		twos, foursA = csa(twosA, twosB, twos)
+		ones, twosA = csa(row[i+4], row[i+5], ones)
+		ones, twosB = csa(row[i+6], row[i+7], ones)
+		twos, foursB = csa(twosA, twosB, twos)
+		fours, eights = csa(foursA, foursB, fours)
+		for k := 0; eights != 0; k++ {
+			hi[k], eights = hi[k]^eights, hi[k]&eights
 		}
 	}
+	for ; i < len(row); i++ {
+		a := row[i]
+		c2 := ones & a
+		ones ^= a
+		c4 := twos & c2
+		twos ^= c2
+		c8 := fours & c4
+		fours ^= c4
+		for k := 0; c8 != 0; k++ {
+			hi[k], c8 = hi[k]^c8, hi[k]&c8
+		}
+	}
+	pl[0], pl[1], pl[2] = ones, twos, fours
+	return pl[:nk]
+}
 
-	// Pass 2: count and threshold. Majority: bit = 1 iff
-	// count >= ceil(W/2), i.e. 2·count − W >= 0 — the sign rule. The borrow
-	// of (count − thr) computed word-parallel is set exactly for the lanes
-	// below threshold.
+// EncodeBin is the binary ending of the windowed kernel: each word's
+// counter planes go straight into the majority compare
+// count >= ceil(W/2), i.e. 2·count − W >= 0 — the sign rule — so the
+// integer hypervector never exists.
+//
+//generic:hotpath
+func (e *windowedEncoder) EncodeBin(x []float64, out *hdc.BinVec) {
+	start := telemetry.Now()
+	checkEncodeBinArgs(e.cfg.Features, e.cfg.D, x, out)
+	windows := e.gather(x)
 	thr := uint64(windows+1) / 2
-	nk := bits.Len(uint(windows))
+	var pl [hdc.WordBits]uint64
 	words := out.Words()
-	for w := 0; w < nw; w++ {
-		row := win[w*windows : (w+1)*windows]
-		var ones, twos, fours uint64
-		i := 0
-		for ; i+8 <= len(row); i += 8 {
-			var twosA, twosB, foursA, foursB, eights uint64
-			ones, twosA = csa(row[i], row[i+1], ones)
-			ones, twosB = csa(row[i+2], row[i+3], ones)
-			twos, foursA = csa(twosA, twosB, twos)
-			ones, twosA = csa(row[i+4], row[i+5], ones)
-			ones, twosB = csa(row[i+6], row[i+7], ones)
-			twos, foursB = csa(twosA, twosB, twos)
-			fours, eights = csa(foursA, foursB, fours)
-			for k := 0; eights != 0; k++ {
-				p := hi[k]
-				p[w], eights = p[w]^eights, p[w]&eights
-			}
-		}
-		for ; i < len(row); i++ {
-			a := row[i]
-			c2 := ones & a
-			ones ^= a
-			c4 := twos & c2
-			twos ^= c2
-			c8 := fours & c4
-			fours ^= c4
-			for k := 0; c8 != 0; k++ {
-				p := hi[k]
-				p[w], c8 = p[w]^c8, p[w]&c8
-			}
-		}
-		borrow := uint64(0)
-		for k := 0; k < nk; k++ {
-			var c uint64
-			switch k {
-			case 0:
-				c = ones
-			case 1:
-				c = twos
-			case 2:
-				c = fours
-			default:
-				c = hi[k-3][w]
-			}
-			var tb uint64
-			if thr>>uint(k)&1 == 1 {
-				tb = ^uint64(0)
-			}
-			borrow = ^c&(tb|borrow) | tb&borrow
-		}
-		words[w] = ^borrow
+	for w := range words {
+		words[w] = hdc.AtLeast(countPlanes(e.win[w*windows:(w+1)*windows], &pl), thr)
 	}
 	telemetry.EncodeNS.ObserveSince(start)
 }

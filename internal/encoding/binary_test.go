@@ -3,7 +3,9 @@ package encoding
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"github.com/edge-hdc/generic/internal/dataset"
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/rng"
 )
@@ -135,33 +137,57 @@ func TestEncodeBinDeterministic(t *testing.T) {
 	}
 }
 
-func benchInput(n int) []float64 {
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i%17) / 17
-	}
-	return x
+// eegBench builds the GENERIC encoder the serving path uses for EEG at
+// D=2048 and returns it with the EEG test split, so the encode benchmarks
+// rotate over real inputs: one repeated input keeps its level rows and the
+// transposed window buffer hot in cache and understates the per-request
+// cost.
+func eegBench(b *testing.B) (*windowedEncoder, [][]float64) {
+	b.Helper()
+	ds := dataset.MustLoad("EEG", 1)
+	cfg := Config{D: 2048, Features: ds.Features, Lo: ds.Lo, Hi: ds.Hi, UseID: ds.UseID, Seed: 1}
+	return MustNew(Generic, cfg).(*windowedEncoder), ds.TestX
 }
 
 func BenchmarkEncodeExact(b *testing.B) {
-	cfg := Config{D: 2048, Features: 128, Lo: 0, Hi: 1, Seed: 1, UseID: true}
-	e := MustNew(Generic, cfg)
-	x := benchInput(128)
-	out := hdc.NewVec(2048)
+	e, xs := eegBench(b)
+	out := hdc.NewVec(e.D())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Encode(x, out)
+		e.Encode(xs[i%len(xs)], out)
 	}
 }
 
 func BenchmarkEncodeBin(b *testing.B) {
-	cfg := Config{D: 2048, Features: 128, Lo: 0, Hi: 1, Seed: 1, UseID: true}
-	e := MustNew(Generic, cfg)
-	be, _ := AsBinary(e)
-	x := benchInput(128)
-	out := hdc.NewBinVec(2048)
+	e, xs := eegBench(b)
+	out := hdc.NewBinVec(e.D())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		be.EncodeBin(x, out)
+		e.EncodeBin(xs[i%len(xs)], out)
 	}
+}
+
+// BenchmarkEncodeExactOverBin interleaves the two endings of the windowed
+// kernel on the same rotating inputs and reports their per-encode times and
+// the exact/bin ratio from one same-host run.
+func BenchmarkEncodeExactOverBin(b *testing.B) {
+	e, xs := eegBench(b)
+	out := hdc.NewVec(e.D())
+	bout := hdc.NewBinVec(e.D())
+	var exact, bin time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := xs[i%len(xs)]
+		t0 := time.Now()
+		e.Encode(x, out)
+		t1 := time.Now()
+		e.EncodeBin(x, bout)
+		exact += t1.Sub(t0)
+		bin += time.Since(t1)
+	}
+	b.ReportMetric(float64(exact.Nanoseconds())/float64(b.N), "exact-ns/op")
+	b.ReportMetric(float64(bin.Nanoseconds())/float64(b.N), "bin-ns/op")
+	b.ReportMetric(float64(exact)/float64(bin), "exact/bin")
 }

@@ -302,6 +302,11 @@ func (e *permuteEncoder) Encode(x []float64, out hdc.Vec) {
 // their intra-window offset and XORed; GENERIC additionally XORs a
 // per-window id (generated by rotating a seed id, §4.3.1) to restore the
 // global order of windows. With ids disabled the two coincide.
+//
+// Encode and EncodeBin are two endings of one kernel (binary.go): gather
+// binds every window into a transposed buffer, countPlanes counts each
+// 64-lane word's votes into bit-sliced planes, and the ending reads the
+// planes out as 2·count − W integers or as packed majority bits.
 type windowedEncoder struct {
 	cfg     Config
 	generic bool
@@ -311,24 +316,28 @@ type windowedEncoder struct {
 	idGen     *hdc.IDGenerator // nil when !useID
 	ids       []*hdc.BitVec    // per-window ids (nil when !useID)
 	quant     *hdc.LevelTable
-	win       *hdc.BitVec
-	acc       *hdc.Acc
-	bins      []int       // scratch: per-feature quantized levels, reused across calls
-	bin       *binScratch // scratch for the fused binarized encode kernel
+	// Scratch, sized once from the configuration (window count and word
+	// count depend on nothing else, so Regenerate never touches it).
+	bins []int      // per-feature quantized levels
+	rows [][]uint64 // per-offset level word rows of the current window (generic-n gather)
+	// win is the transposed window buffer: win[w*windows+i] holds word w of
+	// bound window i, so the counting pass reads each word's window stream
+	// contiguously.
+	win []uint64
 }
 
 func newWindowed(cfg Config, useID, generic bool) *windowedEncoder {
-	e := &windowedEncoder{
-		cfg:     cfg,
-		generic: generic,
-		useID:   useID,
-		win:     hdc.NewBitVec(cfg.D),
-		acc:     hdc.NewAcc(cfg.D),
-		bins:    make([]int, cfg.Features),
-		bin:     newBinScratch(cfg),
-	}
+	e := &windowedEncoder{cfg: cfg, generic: generic, useID: useID}
+	e.initScratch()
 	e.Regenerate()
 	return e
+}
+
+func (e *windowedEncoder) initScratch() {
+	windows := e.cfg.Features - e.cfg.N + 1
+	e.bins = make([]int, e.cfg.Features)
+	e.rows = make([][]uint64, e.cfg.N)
+	e.win = make([]uint64, windows*e.cfg.D/hdc.WordBits)
 }
 
 func (e *windowedEncoder) D() int { return e.cfg.D }
@@ -348,27 +357,19 @@ func (e *windowedEncoder) Kind() Kind {
 	return Ngram
 }
 
+// Encode is the exact ending of the windowed kernel: each word's counter
+// planes are transposed into the bipolar bundle 2·count − W.
+//
 //generic:hotpath
 func (e *windowedEncoder) Encode(x []float64, out hdc.Vec) {
 	start := telemetry.Now()
 	checkEncodeArgs(e.cfg.Features, e.cfg.D, x, out)
-	e.acc.Reset()
-	n := e.cfg.N
-	bins := e.bins
-	for m, v := range x {
-		bins[m] = e.quant.Quantize(v, e.cfg.Lo, e.cfg.Hi)
+	windows := e.gather(x)
+	var pl [hdc.WordBits]uint64
+	for w := 0; w < e.cfg.D/hdc.WordBits; w++ {
+		planes := countPlanes(e.win[w*windows:(w+1)*windows], &pl)
+		hdc.TransposePlanes(out[w*hdc.WordBits:(w+1)*hdc.WordBits], planes, 2, -int32(windows))
 	}
-	for i := 0; i+n <= len(x); i++ {
-		e.win.CopyFrom(e.rotLevels[0][bins[i]])
-		for j := 1; j < n; j++ {
-			hdc.XorAccumulate(e.win, e.rotLevels[j][bins[i+j]])
-		}
-		if e.useID {
-			hdc.XorAccumulate(e.win, e.ids[i])
-		}
-		e.acc.Add(e.win)
-	}
-	e.acc.Bipolar(out)
 	telemetry.EncodeNS.ObserveSince(start)
 }
 

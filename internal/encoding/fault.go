@@ -154,11 +154,8 @@ func (e *windowedEncoder) CloneMaterial() Encoder {
 		generic: e.generic,
 		useID:   e.useID,
 		quant:   e.quant.Clone(),
-		win:     hdc.NewBitVec(e.cfg.D),
-		acc:     hdc.NewAcc(e.cfg.D),
-		bins:    make([]int, e.cfg.Features),
-		bin:     newBinScratch(e.cfg),
 	}
+	c.initScratch()
 	if e.idGen != nil {
 		c.idGen = e.idGen.Clone()
 	}

@@ -12,6 +12,8 @@ import (
 // panics — and any valid encoder must be deterministic two ways: re-encoding
 // with the same encoder (scratch-state reuse) and encoding with a fresh
 // encoder rebuilt from Config() both reproduce the hypervector bit for bit.
+// It also holds the shared windowed kernel to its two contracts: Encode
+// equals the per-window Acc oracle, and EncodeBin equals PackSigns(Encode).
 func FuzzGenericEncode(f *testing.F) {
 	// Seed corpus: the window edge cases called out in the encoder docs.
 	f.Add(uint64(1), 512, 8, 3, 16, true, []byte{0, 17, 200, 63, 5})   // nominal
@@ -69,6 +71,8 @@ func FuzzGenericEncode(f *testing.F) {
 		if !vecsEqual(out, rebuilt) {
 			t.Fatalf("fresh encoder from Config() diverged (cfg %+v)", e.Config())
 		}
+
+		checkAgainstOracle(t, e.(*windowedEncoder), x)
 	})
 }
 

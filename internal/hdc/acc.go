@@ -1,7 +1,5 @@
 package hdc
 
-import "math/bits"
-
 // Acc bundles binary hypervectors: it counts, per dimension, how many of the
 // added vectors had bit 1. Counts are kept bit-sliced — plane j holds bit j
 // of every dimension's counter — so adding a vector costs a handful of word
@@ -93,29 +91,37 @@ func (a *Acc) CountAt(i int) int {
 //generic:hotpath
 func (a *Acc) Counts(dst []int32) {
 	mustSameDim("Acc.Counts", len(dst), a.d)
-	for i := range dst {
-		dst[i] = 0
-	}
-	for j, p := range a.planes {
-		for w, word := range p {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				dst[w*WordBits+b] += 1 << uint(j)
-				word &= word - 1
-			}
-		}
-	}
+	a.transpose(dst, 1, 0)
 }
 
 // Bipolar writes the bipolar bundle 2·count − n into dst (length D).
 //
 //generic:hotpath
 func (a *Acc) Bipolar(dst []int32) {
-	a.Counts(dst)
-	n := int32(a.n)
-	for i := range dst {
-		dst[i] = 2*dst[i] - n
+	mustSameDim("Acc.Bipolar", len(dst), a.d)
+	a.transpose(dst, 2, -int32(a.n))
+}
+
+// transpose writes scale·count + bias per dimension, one word of planes at
+// a time through TransposePlanes.
+//
+//generic:hotpath
+func (a *Acc) transpose(dst []int32, scale, bias int32) {
+	var pw [WordBits]uint64
+	for w := 0; w < a.d/WordBits; w++ {
+		TransposePlanes(dst[w*WordBits:(w+1)*WordBits], a.planesAt(w, &pw), scale, bias)
 	}
+}
+
+// planesAt gathers word w of every plane into pw, which has room for the
+// bit length of any int count.
+//
+//generic:hotpath
+func (a *Acc) planesAt(w int, pw *[WordBits]uint64) []uint64 {
+	for k, p := range a.planes {
+		pw[k] = p[w]
+	}
+	return pw[:len(a.planes)]
 }
 
 // MajorityInto materializes the sign-binarized bundle directly into out:
@@ -126,36 +132,16 @@ func (a *Acc) Bipolar(dst []int32) {
 // accumulator yields all ones (sign(0) → +1), matching PackSigns on a zero
 // counter vector.
 //
-// The comparison runs word-parallel on the bit-sliced counter planes: a
-// borrow-propagating subtraction of the scalar threshold across 64 counters
-// at a time; a lane ends with no borrow exactly when its count reaches the
-// threshold.
+// The comparison runs word-parallel on the bit-sliced counter planes
+// through AtLeast.
 //
 //generic:hotpath
 func (a *Acc) MajorityInto(out *BinVec) {
 	mustSameDim("Acc.MajorityInto", out.d, a.d)
 	thr := uint64(a.n+1) / 2
-	// Planes only grow when some counter actually carried that high, so the
-	// threshold may need more bit positions than exist; absent planes are
-	// all-zero counter bits.
-	nk := len(a.planes)
-	if b := bits.Len64(thr); b > nk {
-		nk = b
-	}
+	var pw [WordBits]uint64
 	for w := range out.words {
-		borrow := uint64(0)
-		for k := 0; k < nk; k++ {
-			var c uint64
-			if k < len(a.planes) {
-				c = a.planes[k][w]
-			}
-			var t uint64
-			if thr>>uint(k)&1 == 1 {
-				t = ^uint64(0)
-			}
-			borrow = ^c&(t|borrow) | t&borrow
-		}
-		out.words[w] = ^borrow
+		out.words[w] = AtLeast(a.planesAt(w, &pw), thr)
 	}
 	out.words[len(out.words)-1] &= tailMask(out.d)
 }

@@ -12,7 +12,8 @@
 //   - a snapshot ring that turns the cumulative counters into rolling-window
 //     aggregates by differencing (no hot-path resets, so concurrent
 //     observation and window rotation can never lose or double-count an
-//     event — aggregates stay exactly equal to a serial oracle);
+//     event — aggregates stay exactly equal to a serial oracle, and every
+//     snapshot holds each observation entirely or not at all);
 //   - a PSI drift detector (profile.go) comparing the rolling window against
 //     a reference profile captured at Fit/Binarize time.
 //
@@ -25,6 +26,7 @@ package quality
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 
 	"github.com/edge-hdc/generic/internal/telemetry"
@@ -89,9 +91,8 @@ func classSlot(class int) int {
 }
 
 // counters is one cumulative (or snapshotted) set of quality aggregates.
-// Every field is atomic so the ring can copy a consistent-enough snapshot
-// under concurrent observation without locks; exact cross-field consistency
-// is recovered by the window invariant (see Stats).
+// Every field is atomic so readers can load it under concurrent observation
+// without locks.
 type counters struct {
 	predicts       atomic.Int64
 	marginSumMicro atomic.Int64
@@ -108,29 +109,29 @@ type counters struct {
 	shadowDisagree atomic.Int64
 }
 
-// load copies the counter set into a plain Stats value.
-func (c *counters) load(st *Stats) {
-	st.Predicts = c.predicts.Load()
-	st.MarginSumMicro = c.marginSumMicro.Load()
-	st.LowMargin = c.lowMargin.Load()
+// addTo adds the counter set into a plain Stats value.
+func (c *counters) addTo(st *Stats) {
+	st.Predicts += c.predicts.Load()
+	st.MarginSumMicro += c.marginSumMicro.Load()
+	st.LowMargin += c.lowMargin.Load()
 	for i := range c.buckets {
-		st.Buckets[i] = c.buckets[i].Load()
+		st.Buckets[i] += c.buckets[i].Load()
 	}
 	for i := range c.classes {
-		st.Classes[i] = c.classes[i].Load()
+		st.Classes[i] += c.classes[i].Load()
 	}
-	st.AdaptEvals = c.adaptEvals.Load()
-	st.AdaptHits = c.adaptHits.Load()
+	st.AdaptEvals += c.adaptEvals.Load()
+	st.AdaptHits += c.adaptHits.Load()
 	for i := range c.adaptClassEvals {
-		st.AdaptClassEvals[i] = c.adaptClassEvals[i].Load()
-		st.AdaptClassHits[i] = c.adaptClassHits[i].Load()
+		st.AdaptClassEvals[i] += c.adaptClassEvals[i].Load()
+		st.AdaptClassHits[i] += c.adaptClassHits[i].Load()
 	}
-	st.ShadowSamples = c.shadowSamples.Load()
-	st.ShadowDisagree = c.shadowDisagree.Load()
+	st.ShadowSamples += c.shadowSamples.Load()
+	st.ShadowDisagree += c.shadowDisagree.Load()
 }
 
-// store overwrites the counter set from a plain Stats value (ring slots
-// only; the cumulative set is never stored into).
+// store overwrites the counter set from a plain Stats value (ring slots and
+// sealed halves only; the live halves are never stored into).
 func (c *counters) store(st *Stats) {
 	c.predicts.Store(st.Predicts)
 	c.marginSumMicro.Store(st.MarginSumMicro)
@@ -165,8 +166,22 @@ type ringSlot struct {
 // The hot path only ever *adds* to the cumulative set — windows are formed
 // by differencing ring snapshots at read time — so no observation is ever
 // lost or double-counted across a rotation, no matter the interleaving.
+//
+// The cumulative set is split in two halves so that Rotate can snapshot a
+// consistent cut without blocking observers. Each observation lands wholly
+// in the half named by epoch, counted in inflight while it runs; Rotate
+// flips epoch and waits for the old half's in-flight observations to
+// finish, after which that half is quiescent until the next flip. A
+// snapshot is then the quiescent half plus the other half's value when it
+// was last sealed, so it never holds part of an observation.
 type Observer struct {
-	cum            counters
+	cum      [2]counters     // live halves; observations add into cum[epoch]
+	inflight [2]atomic.Int64 // observations in progress on each half
+	epoch    atomic.Int64
+	// sealed[h] is cum[h] as of the rotation that last drained it; only
+	// Rotate touches it.
+	sealed [2]counters
+
 	lowMarginMicro atomic.Int64 // threshold for the low-margin counter
 	shadowSeq      atomic.Int64 // global shadow-sampling tick
 	head           atomic.Int64 // rotations completed; slot (head-1)%ringSlots is newest
@@ -191,6 +206,27 @@ func (o *Observer) SetLowMarginThreshold(margin float64) {
 	o.lowMarginMicro.Store(int64(margin * 1e6))
 }
 
+// enter registers an observation on the live half and returns that half's
+// index; the caller adds into cum[h] and then calls exit(h). The recheck
+// after registering pairs with Rotate's flip-then-wait: either Rotate sees
+// this observation in flight and waits for it, or this observation sees the
+// flip and moves to the new half.
+//
+//generic:hotpath
+func (o *Observer) enter() int64 {
+	for {
+		h := o.epoch.Load()
+		o.inflight[h].Add(1)
+		if o.epoch.Load() == h {
+			return h
+		}
+		o.inflight[h].Add(-1)
+	}
+}
+
+//generic:hotpath
+func (o *Observer) exit(h int64) { o.inflight[h].Add(-1) }
+
 // ObservePredict records one predict outcome: the winner class and the
 // normalized top-2 margin in [0,1]. Also feeds the telemetry margin
 // histogram and low-margin counter.
@@ -203,12 +239,18 @@ func (o *Observer) ObservePredict(class int, margin float64) {
 		margin = 1
 	}
 	mi := int64(margin * 1e6)
-	o.cum.predicts.Add(1)
-	o.cum.marginSumMicro.Add(mi)
-	o.cum.buckets[MarginBucket(margin)].Add(1)
-	o.cum.classes[classSlot(class)].Add(1)
-	if mi < o.lowMarginMicro.Load() {
-		o.cum.lowMargin.Add(1)
+	low := mi < o.lowMarginMicro.Load()
+	h := o.enter()
+	c := &o.cum[h]
+	c.predicts.Add(1)
+	c.marginSumMicro.Add(mi)
+	c.buckets[MarginBucket(margin)].Add(1)
+	c.classes[classSlot(class)].Add(1)
+	if low {
+		c.lowMargin.Add(1)
+	}
+	o.exit(h)
+	if low {
 		telemetry.QualityLowMargin.Inc()
 	}
 	telemetry.QualityMarginMicro.Observe(mi)
@@ -221,12 +263,17 @@ func (o *Observer) ObservePredict(class int, margin float64) {
 //generic:hotpath
 func (o *Observer) ObserveAdapt(label int, correct bool) {
 	s := classSlot(label)
-	o.cum.adaptEvals.Add(1)
-	o.cum.adaptClassEvals[s].Add(1)
+	h := o.enter()
+	c := &o.cum[h]
+	c.adaptEvals.Add(1)
+	c.adaptClassEvals[s].Add(1)
+	if correct {
+		c.adaptHits.Add(1)
+		c.adaptClassHits[s].Add(1)
+	}
+	o.exit(h)
 	telemetry.QualityAdaptEvals.Inc()
 	if correct {
-		o.cum.adaptHits.Add(1)
-		o.cum.adaptClassHits[s].Add(1)
 		telemetry.QualityAdaptHits.Inc()
 	}
 }
@@ -236,10 +283,14 @@ func (o *Observer) ObserveAdapt(label int, correct bool) {
 //
 //generic:hotpath
 func (o *Observer) ObserveShadow(agree bool) {
-	o.cum.shadowSamples.Add(1)
+	h := o.enter()
+	o.cum[h].shadowSamples.Add(1)
+	if !agree {
+		o.cum[h].shadowDisagree.Add(1)
+	}
+	o.exit(h)
 	telemetry.QualityShadowSamples.Inc()
 	if !agree {
-		o.cum.shadowDisagree.Add(1)
 		telemetry.QualityShadowDisagree.Inc()
 	}
 }
@@ -252,10 +303,19 @@ func (o *Observer) ShadowTick() int64 { return o.shadowSeq.Add(1) }
 
 // Rotate publishes a snapshot of the cumulative counters into the ring.
 // Call it from one goroutine at the window cadence; Window then spans at
-// most ringSlots rotation intervals.
+// most ringSlots rotation intervals. The snapshot is a consistent cut (see
+// Observer): Rotate waits only for observations already in flight, never
+// blocks new ones.
 func (o *Observer) Rotate() {
+	old := o.epoch.Load()
+	o.epoch.Store(old ^ 1)
+	for o.inflight[old].Load() != 0 {
+		runtime.Gosched()
+	}
 	var st Stats
-	o.cum.load(&st)
+	o.cum[old].addTo(&st)
+	o.sealed[old].store(&st)
+	o.sealed[old^1].addTo(&st)
 	h := o.head.Load()
 	slot := &o.ring[h%ringSlots]
 	slot.c.store(&st)
@@ -266,7 +326,8 @@ func (o *Observer) Rotate() {
 // Total returns the cumulative aggregates since construction.
 func (o *Observer) Total() Stats {
 	var st Stats
-	o.cum.load(&st)
+	o.cum[0].addTo(&st)
+	o.cum[1].addTo(&st)
 	st.At = telemetry.Now()
 	st.SpanNS = st.At - o.bootAt
 	return st
@@ -291,15 +352,16 @@ func (o *Observer) Window() Stats {
 	var base Stats
 	slot := &o.ring[idx]
 	baseAt := slot.at.Load()
-	slot.c.load(&base)
+	slot.c.addTo(&base)
 	return sub(cur, &base, baseAt)
 }
 
 // Stats is a plain-value aggregate: either cumulative (Total) or a window
-// difference (Window). Invariants that hold even under racy snapshots:
-// counts are non-negative, Predicts >= sum(Buckets) is within in-flight
-// observations of equality, and ratios are computed against the matching
-// denominators.
+// difference (Window). Ring snapshots are consistent cuts, so once
+// observation quiesces a window's Predicts, sum(Buckets) and sum(Classes)
+// agree exactly; while it runs, the live load that Window differences
+// against may be off by the observations in flight. Counts are always
+// non-negative, and ratios are computed against the matching denominators.
 type Stats struct {
 	At     int64 // telemetry.Now at the fresh edge
 	SpanNS int64 // window span in nanoseconds
