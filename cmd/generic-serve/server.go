@@ -143,23 +143,12 @@ func (s *server) chaosDelay(ctx context.Context) error {
 	}
 }
 
-// predictRequest accepts a single sample (x) or a batch (xs) — exactly one.
-type predictRequest struct {
-	X  []float64   `json:"x,omitempty"`
-	Xs [][]float64 `json:"xs,omitempty"`
-}
-
 // predictResponse carries "label" for single-sample requests and "labels"
 // for batches. Label is a pointer so class 0 still serializes ("label":0
 // would be dropped by omitempty on a plain int).
 type predictResponse struct {
 	Label  *int  `json:"label,omitempty"`
 	Labels []int `json:"labels,omitempty"`
-}
-
-type adaptRequest struct {
-	X     []float64 `json:"x"`
-	Label int       `json:"label"`
 }
 
 type adaptResponse struct {
@@ -183,11 +172,14 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.predictGate.Release()
-	var req predictRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	// A single sample (x) or a batch (xs) — exactly one. The decoded rows
+	// alias pooled buffers, released once the response is written.
+	req, err := serve.DecodePredict(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
 		return
 	}
+	defer req.Release()
 	if err := s.chaosDelay(r.Context()); err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -211,6 +203,8 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		setMarginBucket(w, margin)
 		writeJSON(w, http.StatusOK, predictResponse{Label: &label})
 		servePredictNS.ObserveSince(start)
+	case req.Xs != nil && len(req.Xs) == 0:
+		writeError(w, http.StatusBadRequest, errors.New(`empty batch: "xs" needs at least one sample`))
 	case req.Xs != nil:
 		labels, err := snap.Pipeline.PredictAll(req.Xs, generic.WithWorkers(s.cfg.workers))
 		if err != nil {
@@ -238,11 +232,12 @@ func (s *server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.adaptGate.Release()
-	var req adaptRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	req, err := serve.DecodeAdapt(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
 		return
 	}
+	defer req.Release()
 	if req.X == nil {
 		writeError(w, http.StatusBadRequest, errors.New(`body needs "x" and "label"`))
 		return
@@ -420,15 +415,6 @@ func statusFor(err error) int {
 // statusClientClosedRequest is nginx's non-standard 499: the client closed
 // the connection before the response; there is no one left to answer.
 const statusClientClosedRequest = 499
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
-	}
-	return nil
-}
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

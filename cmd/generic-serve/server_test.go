@@ -18,7 +18,7 @@ import (
 
 // testPipeline trains a small two-class pipeline on a separable synthetic
 // problem, returning it with its training set.
-func testPipeline(t *testing.T) (*generic.Pipeline, [][]float64, []int) {
+func testPipeline(t testing.TB) (*generic.Pipeline, [][]float64, []int) {
 	t.Helper()
 	enc, err := generic.NewEncoder(generic.Generic, generic.EncoderConfig{
 		D: 512, Features: 8, Lo: 0, Hi: 1, UseID: true, Seed: 5,
@@ -49,7 +49,7 @@ func testPipeline(t *testing.T) (*generic.Pipeline, [][]float64, []int) {
 }
 
 // testServer wraps a pipeline in an in-memory serving core and HTTP layer.
-func testServer(t *testing.T, p *generic.Pipeline, cfg serverConfig) (*server, *serve.Core) {
+func testServer(t testing.TB, p *generic.Pipeline, cfg serverConfig) (*server, *serve.Core) {
 	t.Helper()
 	core, err := serve.Open(p, serve.Options{})
 	if err != nil {
@@ -57,6 +57,12 @@ func testServer(t *testing.T, p *generic.Pipeline, cfg serverConfig) (*server, *
 	}
 	t.Cleanup(func() { core.Close() })
 	return newServer(core, cfg), core
+}
+
+// adaptRequest is the /adapt body the tests post.
+type adaptRequest struct {
+	X     []float64 `json:"x"`
+	Label int       `json:"label"`
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -147,6 +153,7 @@ func TestEndpointsRoundTrip(t *testing.T) {
 		map[string]any{"bogus": 1},
 		map[string]any{"x": []float64{1, 2, 3}},
 		map[string]any{"xs": [][]float64{{1, 2, 3}}},
+		map[string]any{"xs": [][]float64{}},
 	} {
 		if resp, _ := postJSON(t, ts.URL+"/predict", bad); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("bad body %v: status %d, want 400", bad, resp.StatusCode)

@@ -349,19 +349,24 @@ func NewPipeline(enc Encoder, classes int, opts ...PipelineOption) *Pipeline {
 // bit-exact copy of the primary encoder's current material) so concurrent
 // prediction observes injected faults; foreign encoders rebuild from their
 // configuration. Called whenever pooled clones would go stale.
+//
+// The pool must not reference p: sync.Pool keeps a pool that has been Put
+// to reachable until two GCs later, so capturing p would pin every
+// superseded serving snapshot (one per adapt) and its model for that long.
 func (p *Pipeline) resetStates() {
+	enc := p.enc
 	p.states = &sync.Pool{New: func() any {
 		var clone Encoder
-		if mc, ok := p.enc.(encoding.MaterialCloner); ok {
+		if mc, ok := enc.(encoding.MaterialCloner); ok {
 			clone = mc.CloneMaterial()
 		} else {
-			clone = encoding.MustNew(p.enc.Kind(), p.enc.Config())
+			clone = encoding.MustNew(enc.Kind(), enc.Config())
 		}
-		return &pipeState{enc: clone, scratch: hdc.NewVec(p.enc.D()), bin: hdc.NewBinVec(p.enc.D())}
+		return &pipeState{enc: clone, scratch: hdc.NewVec(enc.D()), bin: hdc.NewBinVec(enc.D())}
 	}}
 	// Seed the pool with the primary encoder so single-goroutine use never
 	// builds a clone.
-	p.states.Put(&pipeState{enc: p.enc, scratch: hdc.NewVec(p.enc.D()), bin: hdc.NewBinVec(p.enc.D())})
+	p.states.Put(&pipeState{enc: enc, scratch: hdc.NewVec(enc.D()), bin: hdc.NewBinVec(enc.D())})
 }
 
 // Encoder returns the pipeline's encoder; Model its trained model (nil

@@ -1,12 +1,16 @@
 package budget
 
 import (
+	"bytes"
+	"strconv"
+
 	generic "github.com/edge-hdc/generic"
 	"github.com/edge-hdc/generic/internal/classifier"
 	"github.com/edge-hdc/generic/internal/encoding"
 	"github.com/edge-hdc/generic/internal/hdc"
 	"github.com/edge-hdc/generic/internal/perf"
 	"github.com/edge-hdc/generic/internal/quality"
+	"github.com/edge-hdc/generic/internal/serve"
 	"github.com/edge-hdc/generic/internal/telemetry"
 )
 
@@ -39,6 +43,32 @@ func features(phase int) []float64 {
 		x[i] = float64((i*7+phase*3)%11) / 11
 	}
 	return x
+}
+
+// predictBody writes rows as a /predict body the way servebench sends them:
+// shortest round-trip floats, {"x":…} for one row and {"xs":[…]} for more.
+func predictBody(rows [][]float64) []byte {
+	b := []byte(`{"xs":[`)
+	if len(rows) == 1 {
+		b = []byte(`{"x":`)
+	}
+	for k, r := range rows {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for i, x := range r {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendFloat(b, x, 'g', -1, 64)
+		}
+		b = append(b, ']')
+	}
+	if len(rows) > 1 {
+		b = append(b, ']')
+	}
+	return append(b, '}')
 }
 
 // Ops registers the hot paths the budget binds. Names are stable: they are
@@ -121,6 +151,31 @@ func Ops() []Op {
 		Op{Name: "pipeline/predict_all_into_binary_w1", Pooled: true, Run: func() {
 			bpipe.PredictAllInto(dst, X, generic.WithWorkers(1), generic.WithMode(generic.Binary))
 		}},
+	)
+
+	// The daemon's /predict body decode, on servebench-shaped bodies: a warm
+	// request pool parses a canonical body into pooled rows without
+	// allocating.
+	single := predictBody(X[:1])
+	rows := make([][]float64, 64)
+	for i := range rows {
+		rows[i] = features(i)
+	}
+	batchBody := predictBody(rows)
+	rd := bytes.NewReader(nil)
+	decodeOp := func(body []byte) func() {
+		return func() {
+			rd.Reset(body)
+			req, err := serve.DecodePredict(rd)
+			if err != nil {
+				panic(err)
+			}
+			req.Release()
+		}
+	}
+	ops = append(ops,
+		Op{Name: "serve/decode_predict_single", Pooled: true, Run: decodeOp(single)},
+		Op{Name: "serve/decode_predict_batch", Pooled: true, Run: decodeOp(batchBody)},
 	)
 
 	// The hdc kernels under the classifier: bundling update and scoring dot.

@@ -2,8 +2,10 @@ package generic_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	generic "github.com/edge-hdc/generic"
 )
@@ -189,5 +191,27 @@ func TestClusterWorkersBitIdentical(t *testing.T) {
 		if par.Assignments[i] != serial.Assignments[i] {
 			t.Fatalf("assignment %d differs: %d vs %d", i, par.Assignments[i], serial.Assignments[i])
 		}
+	}
+}
+
+// TestSupersededCloneIsCollectable pins that a clone nothing references is
+// freed by the next GC. sync.Pool keeps a pool that has been Put to
+// reachable for two GCs, so the clone's state pool must not reference the
+// pipeline: serving clones it on every adapt, and clones pinned that way
+// inflate the heap under an adapt stream.
+func TestSupersededCloneIsCollectable(t *testing.T) {
+	p, X, _ := fitWorkers(t, 1)
+	c := p.Clone()
+	if _, err := c.Predict(X[0]); err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(c, func(*generic.Pipeline) { close(freed) })
+	c = nil
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("an unreferenced clone survived a GC: its state pool pins it")
 	}
 }
